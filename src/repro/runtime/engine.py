@@ -57,6 +57,17 @@ class InferenceEngine:
     because chunks are independent and each thread owns its scratch space.
     Intra-process threading composes with :mod:`repro.serve` process
     sharding: workers receive single micro-batches and stay serial.
+
+    Each :class:`BufferCache` is one *execution context*: the engine's own
+    ``cache`` (the calling thread's recording and serial chunks) plus one
+    per pool thread, so at most :attr:`num_contexts` of them.  Callers must
+    not run one engine from several threads at once (``Server`` serialises
+    its coordinator engines under a lock).  ``cache_budget`` bounds the
+    scratch bytes of the *whole engine*: it is split evenly across
+    ``num_contexts``, and each context's cache enforces its share (plus at
+    most the one buffer it just handed out).  Arena slot buffers are exempt
+    from the budget in every context — each context that runs planned
+    chunks holds exactly the memory plan's slots.
     """
 
     def __init__(self, plan: InferencePlan,
@@ -77,7 +88,9 @@ class InferenceEngine:
         if self.num_threads < 1:
             raise ValueError("num_threads must be >= 1")
         self.cache_budget = cache_budget
-        self.cache = BufferCache(max_bytes=cache_budget)
+        self._parallel_ok = all(step.op != "opaque"
+                                for step in self.plan.steps)
+        self.cache = self._new_cache()
         # A supplied memory plan maps registers of the plan it was recorded
         # against.  If optimization rewrote the plan above (renaming fused
         # registers), or planned execution is off entirely, the spec no
@@ -101,11 +114,8 @@ class InferenceEngine:
         #: Optional :class:`~repro.obs.planprof.PlanProfiler`; ``None`` costs
         #: one comparison per executed step.
         self.profiler = profiler
-        self._parallel_ok = all(step.op != "opaque"
-                                for step in self.plan.steps)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._tls = threading.local()
-        self._tls.cache = self.cache
         self._caches: List[BufferCache] = [self.cache]
         self._caches_lock = threading.Lock()
         self.metrics_prefix = metrics_prefix
@@ -125,6 +135,8 @@ class InferenceEngine:
         prefix = self.metrics_prefix
         registry.gauge(f"{prefix}.samples_run", fn=lambda: self.samples_run)
         registry.gauge(f"{prefix}.batches_run", fn=lambda: self.batches_run)
+        # Every context's scratch + arena bytes; the scratch part is bounded
+        # by cache_budget engine-wide, the arena part by the memory plan.
         registry.gauge(f"{prefix}.cache_bytes", fn=lambda: self.cache_bytes)
         registry.gauge(f"{prefix}.arena_peak_bytes",
                        fn=lambda: self.arena_peak_bytes)
@@ -140,6 +152,23 @@ class InferenceEngine:
             f"{prefix}.opt_cse_hits",
             fn=lambda: getattr(self.plan, "pass_stats", {}).get(
                 "common_subexpression_elimination", 0))
+
+    @property
+    def num_contexts(self) -> int:
+        """Most execution contexts (buffer caches) this engine can hold.
+
+        The engine's own cache, plus one per pool thread when chunks can run
+        on the pool (more than one thread and no ``opaque`` steps).
+        """
+        if self.num_threads > 1 and self._parallel_ok:
+            return 1 + self.num_threads
+        return 1
+
+    def _new_cache(self) -> BufferCache:
+        """A context cache holding its even share of ``cache_budget``."""
+        if self.cache_budget is None:
+            return BufferCache()
+        return BufferCache(max_bytes=self.cache_budget // self.num_contexts)
 
     @classmethod
     def for_module(cls, module: Module,
@@ -162,10 +191,9 @@ class InferenceEngine:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.cache = BufferCache(max_bytes=self.cache_budget)
+        self.cache = self._new_cache()
         self._pool = None
         self._tls = threading.local()
-        self._tls.cache = self.cache
         self._caches = [self.cache]
         self._caches_lock = threading.Lock()
         self.profiler = None
@@ -221,7 +249,7 @@ class InferenceEngine:
             self.batches_run += len(chunks)
         else:
             for chunk in chunks:
-                outputs.append(self._run_chunk(chunk))
+                outputs.append(self._run_chunk(chunk, self.cache))
                 self.batches_run += 1
         self.samples_run += total
         out = outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
@@ -229,21 +257,25 @@ class InferenceEngine:
 
     __call__ = run
 
-    def _run_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        cache = getattr(self._tls, "cache", None)
-        if cache is None:
-            cache = BufferCache(max_bytes=self.cache_budget)
-            self._tls.cache = cache
-            with self._caches_lock:
-                self._caches.append(cache)
+    def _run_chunk(self, chunk: np.ndarray,
+                   cache: BufferCache) -> np.ndarray:
         return self.plan.execute(chunk, cache, memory_plan=self.memory_plan,
                                  profiler=self.profiler)
+
+    def _run_pool_chunk(self, chunk: np.ndarray) -> np.ndarray:
+        """Run ``chunk`` on a pool thread, in that thread's own context."""
+        cache = getattr(self._tls, "cache", None)
+        if cache is None:
+            cache = self._tls.cache = self._new_cache()
+            with self._caches_lock:
+                self._caches.append(cache)
+        return self._run_chunk(chunk, cache)
 
     def _run_parallel(self, chunks: List[np.ndarray]) -> List[np.ndarray]:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.num_threads,
                                             thread_name_prefix="repro-engine")
-        futures = [self._pool.submit(self._run_chunk, chunk)
+        futures = [self._pool.submit(self._run_pool_chunk, chunk)
                    for chunk in chunks]
         return [future.result() for future in futures]
 
@@ -254,10 +286,17 @@ class InferenceEngine:
                 cache.clear()
 
     def close(self) -> None:
-        """Shut the chunk thread pool down (idempotent)."""
+        """Shut the thread pool down and retire its contexts (idempotent).
+
+        A later parallel run starts a fresh pool whose threads build fresh
+        caches, so the retired ones are dropped to keep the engine within
+        :attr:`num_contexts`.
+        """
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
+        with self._caches_lock:
+            self._caches = [self.cache]
 
     def __del__(self):  # pragma: no cover - best-effort cleanup
         try:
@@ -267,6 +306,12 @@ class InferenceEngine:
 
     @property
     def cache_bytes(self) -> int:
+        """Scratch plus arena bytes held by every execution context.
+
+        The scratch part stays within ``cache_budget`` plus one buffer of
+        slack per context; the arena part is the memory plan's slots, once
+        per context that has run planned chunks.
+        """
         with self._caches_lock:
             return sum(cache.nbytes for cache in self._caches)
 

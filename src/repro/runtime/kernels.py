@@ -13,6 +13,13 @@ wrappers, no autograd bookkeeping.  Three ideas keep them fast:
 * **batched GEMM** — dense and pointwise convolutions are expressed as
   ``matmul`` over the whole micro-batch, hitting BLAS instead of Python
   loops.
+
+Depthwise convolutions skip im2col and GEMM altogether:
+:func:`depthwise_conv` multiply-accumulates the taps channels-last, on
+``(H, W, N, C)`` scratch copies, so that every ufunc runs an ``N*C``-long
+contiguous inner loop even on the 4x4 maps of the deep MobileNetV2 layers.
+Each output element sees the same float32 operations in the same order as
+an NCHW per-tap loop, so the layout is invisible in the bits.
 """
 
 from __future__ import annotations
@@ -41,13 +48,16 @@ def apply_activation(out: np.ndarray, act: Optional[str]) -> np.ndarray:
 class BufferCache:
     """Reusable scratch buffers keyed by (tag, shape, dtype), LRU-bounded.
 
-    The engine keeps one cache per plan so that consecutive ``run`` calls
-    with the same micro-batch shape reuse the same im2col / padding / arena
-    buffers instead of reallocating them for every layer of every batch.
+    The engine keeps one cache per execution context (its own, plus one per
+    pool thread) so that consecutive ``run`` calls with the same micro-batch
+    shape reuse the same im2col / padding / arena buffers instead of
+    reallocating them for every layer of every batch.
 
-    ``max_bytes`` caps the *scratch* buffers: past the budget the
-    least-recently-used ones are dropped (the buffer just requested is never
-    evicted, so the cache may transiently exceed the budget by one buffer).
+    ``max_bytes`` caps the *scratch* buffers of this one cache — an
+    :class:`~repro.runtime.engine.InferenceEngine` hands each of its
+    contexts an even share of its ``cache_budget``.  Past the cap the
+    least-recently-used buffers are dropped (the buffer just requested is
+    never evicted, so the cache may exceed the cap by that one buffer).
     Arena slot buffers (``arena:`` tags, see
     :meth:`~repro.runtime.optimizer.MemoryPlan.out_view`) are the memory
     plan's working set — they are exempt from eviction and do not consume
@@ -147,6 +157,25 @@ def sliding_window_view(x: np.ndarray, kh: int, kw: int,
         writeable=False)
 
 
+def _zero_halo(padded: np.ndarray, axis: int, h: int, w: int,
+               padding: int) -> None:
+    """Zero the ``padding``-wide ring of spatial axes ``axis, axis + 1``.
+
+    ``padded`` holds an ``h x w`` interior at offset ``(padding, padding)``
+    of those two axes.  The four strips — rows ``[0, p)`` and
+    ``[h+p, h+2p)`` at full width, columns ``[0, p)`` and ``[w+p, w+2p)`` of
+    the middle rows — plus the interior the caller writes cover *every*
+    element, so no byte from a previous call with a different
+    ``(h, padding)`` split of the same buffer survives.
+    """
+    lead = (slice(None),) * axis
+    rows = slice(padding, h + padding)
+    padded[lead + (slice(None, padding),)] = 0
+    padded[lead + (slice(h + padding, None),)] = 0
+    padded[lead + (rows, slice(None, padding))] = 0
+    padded[lead + (rows, slice(w + padding, None))] = 0
+
+
 def pad_cached(x: np.ndarray, padding: int,
                cache: Optional[BufferCache] = None) -> np.ndarray:
     """Zero-pad ``x`` spatially into a cached buffer.
@@ -154,25 +183,15 @@ def pad_cached(x: np.ndarray, padding: int,
     Only the halo ring is rezeroed on reuse: the interior is fully
     overwritten below, and the ring must be cleared every call because the
     cached buffer may hold a stale halo from a layer with a different
-    ``(h, padding)`` split of the same padded shape.
-
-    Coverage invariant (pinned by the mixed-padding poisoning test in
-    ``tests/test_runtime_optimizer.py``): the four ring strips plus the
-    interior assignment write *every* element of the padded buffer for the
-    current ``(h, w, padding)`` — rows ``[0, p)`` and ``[h+p, h+2p)`` at full
-    width, columns ``[0, p)`` and ``[w+p, w+2p)`` of the middle rows, and the
-    ``h x w`` interior — so no byte from a previous call with a different
-    halo split (the delta region between the old and new ring) can survive
-    into the window view, no matter which layer used the buffer last.
+    ``(h, padding)`` split of the same padded shape.  The ring plus the
+    interior write every element (see :func:`_zero_halo`; pinned by the
+    mixed-padding poisoning test in ``tests/test_runtime_optimizer.py``).
     """
     n, c, h, w = x.shape
     padded_shape = (n, c, h + 2 * padding, w + 2 * padding)
     if cache is not None:
         padded = cache.get("pad", padded_shape, x.dtype)
-        padded[:, :, :padding, :] = 0
-        padded[:, :, h + padding:, :] = 0
-        padded[:, :, padding:h + padding, :padding] = 0
-        padded[:, :, padding:h + padding, w + padding:] = 0
+        _zero_halo(padded, 2, h, w, padding)
     else:
         padded = np.zeros(padded_shape, dtype=x.dtype)
     padded[:, :, padding:padding + h, padding:padding + w] = x
@@ -200,41 +219,66 @@ def im2col_cached(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
 def depthwise_conv(x: np.ndarray, weight: np.ndarray, stride: int = 1,
                    padding: int = 0, cache: Optional[BufferCache] = None,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Depthwise 2-D convolution without im2col.
+    """Depthwise 2-D convolution, accumulated channels-last.
 
     A depthwise kernel uses each column of the ``C*kh*kw`` im2col matrix for
-    exactly one output channel — materialising it is an O(k²) waste.  This
-    fast path multiply-accumulates the ``kh*kw`` taps of the zero-copy
-    window view directly into the output.
+    exactly one output channel, so materialising it is an O(k²) waste.
+    Instead the ``kh*kw`` taps are multiply-accumulated over strided windows
+    of the input, in three passes:
+
+    1. one transposing copy writes ``x`` into a zero-haloed
+       ``(H+2p, W+2p, N, C)`` scratch buffer in the accumulation dtype (for
+       int8 codes this single cast is exact);
+    2. tap ``(0, 0)`` is multiplied into an ``(out_h, out_w, N, C)``
+       accumulator and every other tap is added in row-major order, each on
+       an ``[i::s, j::s]`` window.  Batch and channels are the two innermost
+       axes and the taps are tiled over the batch to ``(kh*kw, N, C)``, so
+       every multiply and add runs contiguous ``N*C``-long inner loops —
+       long even for the 4x4 maps and the 8-channel stem of MobileNetV2;
+    3. one transposing copy writes the accumulator into the NCHW output.
+
+    Every output element sees the same multiplies and adds in the same order
+    as a per-tap loop over NCHW windows, so float32 results do not move a
+    bit with the layout; integer accumulations are exact in any order.
 
     ``weight`` is ``(c, 1, kh, kw)`` *already cast to the accumulation
     dtype*: float32 for the float path, the exact-GEMM dtype for the int8
-    path (integer products and sums are exact there, so the tap order cannot
-    perturb a bit).  Returns ``(n, c, out_h, out_w)`` in the weight dtype.
+    path.  Returns ``(n, c, out_h, out_w)`` in the weight dtype (written
+    into ``out`` when given).
     """
     n, c, h, w = x.shape
     kh, kw = weight.shape[2], weight.shape[3]
-    if padding > 0:
-        x = pad_cached(x, padding, cache)
+    dtype = weight.dtype
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
-    view = sliding_window_view(x, kh, kw, stride)
-    taps = weight.reshape(c, kh, kw)
+    padded_shape = (h + 2 * padding, w + 2 * padding, n, c)
+    acc_shape = (out_h, out_w, n, c)
+    taps_shape = (kh * kw, n, c)
+    if cache is not None:
+        padded = cache.get("dwpad", padded_shape, dtype)
+        _zero_halo(padded, 0, h, w, padding)
+        taps = cache.get("dwtaps", taps_shape, dtype)
+        acc = cache.get("dwacc", acc_shape, dtype)
+        product = cache.get("dwprod", acc_shape, dtype)
+    else:
+        padded = np.zeros(padded_shape, dtype=dtype)
+        taps = np.empty(taps_shape, dtype=dtype)
+        acc = np.empty(acc_shape, dtype=dtype)
+        product = np.empty(acc_shape, dtype=dtype)
+    np.copyto(padded[padding:padding + h, padding:padding + w],
+              x.transpose(2, 3, 0, 1))
+    np.copyto(taps, weight.reshape(c, kh * kw).T[:, None, :])
+    rows = stride * (out_h - 1) + 1
+    cols = stride * (out_w - 1) + 1
+    np.multiply(padded[:rows:stride, :cols:stride], taps[0], out=acc)
+    for tap in range(1, kh * kw):
+        i, j = divmod(tap, kw)
+        np.multiply(padded[i:i + rows:stride, j:j + cols:stride], taps[tap],
+                    out=product)
+        acc += product
     if out is None:
-        out = np.empty((n, c, out_h, out_w), dtype=weight.dtype)
-    np.multiply(view[:, :, 0, 0], taps[:, 0, 0].reshape(1, c, 1, 1), out=out)
-    if kh * kw > 1:
-        if cache is not None:
-            scratch = cache.get("dwtap", out.shape, weight.dtype)
-        else:
-            scratch = np.empty_like(out)
-        for i in range(kh):
-            for j in range(kw):
-                if i == 0 and j == 0:
-                    continue
-                np.multiply(view[:, :, i, j], taps[:, i, j].reshape(1, c, 1, 1),
-                            out=scratch)
-                out += scratch
+        out = np.empty((n, c, out_h, out_w), dtype=dtype)
+    np.copyto(out, acc.transpose(2, 3, 0, 1))
     return out
 
 
@@ -559,9 +603,9 @@ def int_accumulate_conv(q: np.ndarray, weight_q: np.ndarray, stride: int = 1,
         x_f = _cast_cached(q.reshape(n, c, spatial), dtype, "qpw", cache)
         np.matmul(weight_f.reshape(out_c, c), x_f, out=acc)
     elif depthwise:
-        # Fast path: no im2col — per-tap multiply-accumulate on the window
-        # view.  Every product and partial sum is an exact integer below the
-        # mantissa limit, so the tap order cannot change a bit of the result.
+        # No im2col: depthwise_conv casts the codes once into its
+        # channels-last scratch.  Every product and partial sum is an exact
+        # integer below the mantissa limit, so no bit depends on the order.
         depthwise_conv(q, weight_f, stride=stride, padding=padding,
                        cache=cache, out=acc.reshape(n, out_c, out_h, out_w))
     else:

@@ -124,6 +124,7 @@ class Server:
                  max_latency_s: float = DEFAULT_MAX_LATENCY_S,
                  start_method: str = DEFAULT_START_METHOD,
                  blas_threads_per_worker: Optional[int] = 1,
+                 pin_workers: bool = True,
                  max_pending: Optional[int] = None,
                  latency_slo_s: Optional[float] = None,
                  max_inflight_batches: int = DEFAULT_MAX_INFLIGHT_BATCHES,
@@ -145,6 +146,11 @@ class Server:
                  chaos=None):
         """Args beyond the model/pool shape:
 
+        pin_workers: pin each worker process to one CPU, dealt round-robin
+            over the CPUs this process may use, and nice it below this
+            process (on by default; see
+            :class:`~repro.serve.sharded.ShardedEngine`).  Turn it off when
+            several servers share a host.
         max_pending: admission cap on *outstanding* (admitted, unresolved)
             single-sample requests; submits beyond it raise
             :class:`ServerOverloaded`.  The count is exact — an atomic
@@ -228,6 +234,7 @@ class Server:
         self.engine = ShardedEngine(
             snapshot, num_workers=num_workers, start_method=start_method,
             blas_threads_per_worker=blas_threads_per_worker,
+            pin_workers=pin_workers,
             use_shared_memory=use_shared_memory,
             ring_slots=ring_slots, slot_bytes=slot_bytes,
             watchdog_interval_s=watchdog_interval_s,

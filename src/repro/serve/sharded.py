@@ -44,7 +44,14 @@ picklability end-to-end (``fork`` would silently inherit live state) and
 sidesteps fork-after-BLAS hazards.  BLAS threading inside each worker is
 pinned to one thread by default so that process-level sharding, not library
 threading, owns the parallelism — the saturation benchmark compares worker
-counts under identical per-worker settings.
+counts under identical per-worker settings.  Each worker is also pinned to
+one CPU by default (shards dealt round-robin over the CPUs the coordinator
+may use): left to itself, the scheduler can keep two busy shards queued on
+one CPU while another idles — a task that has just run counts as cache-hot
+and is rarely migrated — for a stretch that differs from run to run, and
+serving capacity then differs with it.  A pinned worker also runs niced
+below the coordinator, so the coordinator never waits behind a worker's
+time slice to refill the shards.
 """
 
 from __future__ import annotations
@@ -130,6 +137,18 @@ class EngineClosedError(RuntimeError):
     a closed pool."""
 
 
+def _worker_cpus(num_workers: int) -> List[Optional[int]]:
+    """The CPU each worker is pinned to: workers dealt round-robin over the
+    CPUs this process may run on.  All ``None`` (no pinning) where CPU
+    affinity is unsupported or only one CPU is available."""
+    if not hasattr(os, "sched_getaffinity"):
+        return [None] * num_workers
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        return [None] * num_workers
+    return [cpus[index % len(cpus)] for index in range(num_workers)]
+
+
 @contextmanager
 def _blas_threads_env(threads: Optional[int]):
     """Temporarily pin BLAS thread env vars so started children inherit them."""
@@ -155,6 +174,7 @@ class ShardedEngine:
                  num_workers: int = DEFAULT_NUM_WORKERS,
                  start_method: str = DEFAULT_START_METHOD,
                  blas_threads_per_worker: Optional[int] = 1,
+                 pin_workers: bool = True,
                  startup_timeout: float = DEFAULT_TIMEOUT,
                  use_shared_memory: bool = True,
                  ring_slots: int = DEFAULT_RING_SLOTS,
@@ -207,6 +227,10 @@ class ShardedEngine:
         self._ring_slots = ring_slots
         self._slot_bytes = slot_bytes
         self._blas_threads = blas_threads_per_worker
+        #: CPU each shard is pinned to (``None``: not pinned); a respawned
+        #: shard keeps its predecessor's CPU.
+        self._worker_cpus = _worker_cpus(num_workers) if pin_workers \
+            else [None] * num_workers
         self._startup_timeout = startup_timeout
         self._request_queues = []
         self._result_queues = []
@@ -309,7 +333,7 @@ class ShardedEngine:
             args=(worker_id, self.snapshot, request_queue, result_queue,
                   request_ring.spec() if request_ring else None,
                   result_ring.spec() if result_ring else None,
-                  heartbeat),
+                  heartbeat, self._worker_cpus[worker_id]),
             daemon=True, name=f"repro-serve-worker-{worker_id}")
         process.start()
         return request_queue, result_queue, heartbeat, process

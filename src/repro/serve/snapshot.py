@@ -80,10 +80,18 @@ class PrototypeState:
 
 
 def snapshot_prototypes(memory) -> PrototypeState:
-    """Freeze an :class:`~repro.core.explicit_memory.ExplicitMemory`."""
+    """Freeze an :class:`~repro.core.explicit_memory.ExplicitMemory`.
+
+    The version is read *before* the matrix.  An ``update_class`` landing
+    between the two reads then yields a newer matrix under an older
+    version, which the next version-gated sync simply resends; the reverse
+    order could label the old matrix with the new version, and every later
+    sync would skip the update as already broadcast.
+    """
+    version = memory.version
     matrix, ids = memory.prototype_matrix()
     return PrototypeState(matrix_normed=normalize_prototypes(matrix),
-                          ids=ids, version=memory.version)
+                          ids=ids, version=version)
 
 
 # ---------------------------------------------------------------------------

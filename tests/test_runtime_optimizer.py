@@ -48,6 +48,10 @@ TINY_BACKBONES = ("mobilenetv2_x4_tiny", "mobilenetv2_tiny", "resnet12_tiny",
 #: golden fixtures pin the exact bits per family).
 INT8_BACKBONES = (BACKBONE, RESNET_BACKBONE)
 
+#: Engine thread counts the cache, arena and parity suites run under, so the
+#: host's core count does not pick which execution path tier-1 covers.
+THREAD_COUNTS = (1, 2, 4)
+
 
 def make_model(backbone: str, seed: int = 0) -> OFSCIL:
     model = OFSCIL.from_registry(backbone, OFSCILConfig(backbone=backbone),
@@ -79,15 +83,19 @@ def int8_case(request):
 # Pass-by-pass parity
 # ---------------------------------------------------------------------------
 class TestFloatParity:
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
     @pytest.mark.parametrize("backbone", TINY_BACKBONES)
-    def test_optimized_plan_is_bit_identical(self, backbone, rng):
+    def test_optimized_plan_is_bit_identical(self, backbone, num_threads,
+                                             rng):
         model = make_model(backbone)
         plan = compile_backbone(model.backbone)
         images = rng.standard_normal((40, 3, 16, 16)).astype(np.float32)
-        raw = InferenceEngine(plan, optimize=False, micro_batch=16).run(images)
-        optimized = InferenceEngine(plan, optimize=True,
-                                    micro_batch=16).run(images)
-        np.testing.assert_array_equal(raw, optimized)
+        raw = InferenceEngine(plan, optimize=False, micro_batch=16,
+                              num_threads=1).run(images)
+        engine = InferenceEngine(plan, optimize=True, micro_batch=16,
+                                 num_threads=num_threads)
+        np.testing.assert_array_equal(raw, engine.run(images))
+        engine.close()
 
     @pytest.mark.parametrize(
         "passes", [eliminate_dead_steps, fuse_quantize_chains,
@@ -248,13 +256,16 @@ class TestInt8Fusion:
         out = InferenceEngine(plan, optimize=False).run(golden["images"])
         np.testing.assert_array_equal(out, golden["theta_a"])
 
-    def test_arena_and_threads_reproduce_the_golden_bits(self, int8_case):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_arena_and_threads_reproduce_the_golden_bits(self, int8_case,
+                                                         num_threads):
         model, golden = int8_case
         plan = compile_backbone(model.backbone, mode="int8")
-        engine = InferenceEngine(plan, micro_batch=3, num_threads=2)
+        engine = InferenceEngine(plan, micro_batch=3, num_threads=num_threads)
         np.testing.assert_array_equal(engine.run(golden["images"]),
                                       golden["theta_a"])
         assert engine.memory_plan is not None
+        engine.close()
 
 
 # ---------------------------------------------------------------------------
@@ -344,24 +355,30 @@ class TestArenaPlanner:
             f"arena ({peak} B) must cut >= 40% off per-step allocation "
             f"({unplanned} B)")
 
-    def test_results_survive_arena_reuse_across_chunks(self, rng):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_results_survive_arena_reuse_across_chunks(self, num_threads,
+                                                       rng):
         # The plan output must never live in the arena: a second run reuses
         # every slot, and the first result has been handed to the caller.
         model = make_model("mobilenetv2_x4_tiny")
         engine = InferenceEngine(compile_backbone(model.backbone),
-                                 micro_batch=8)
-        first_images = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
-        second_images = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
-        first = engine.run(first_images)
+                                 micro_batch=4, num_threads=num_threads)
+        engine.run(rng.standard_normal((4, 3, 16, 16)).astype(np.float32))
+        first_images = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
+        second_images = rng.standard_normal((12, 3, 16, 16)).astype(np.float32)
+        first = engine.run(first_images)          # one planned chunk
         kept = first.copy()
-        second = engine.run(second_images)
+        second = engine.run(second_images)        # pooled when threaded
         np.testing.assert_array_equal(first, kept)
-        assert not np.array_equal(first, second)
+        assert not np.array_equal(first, second[:4])
+        engine.close()
 
-    def test_memory_plan_rebuilds_on_input_shape_change(self, rng):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_memory_plan_rebuilds_on_input_shape_change(self, num_threads,
+                                                        rng):
         model = make_model("mobilenetv2_x4_tiny")
         plan = compile_backbone(model.backbone)
-        engine = InferenceEngine(plan, micro_batch=4)
+        engine = InferenceEngine(plan, micro_batch=2, num_threads=num_threads)
         engine.run(rng.standard_normal((8, 3, 16, 16)).astype(np.float32))
         assert engine.memory_plan.input_shape == (3, 16, 16)
         large = rng.standard_normal((8, 3, 20, 20)).astype(np.float32)
@@ -370,6 +387,7 @@ class TestArenaPlanner:
         reference = InferenceEngine(plan, optimize=False,
                                     micro_batch=4).run(large)
         np.testing.assert_array_equal(out, reference)
+        engine.close()
 
     def test_flatten_output_plan_is_safe(self, rng):
         # A plan ending in a flatten view must not return a view into the
@@ -401,37 +419,37 @@ class TestArenaPlanner:
 # micro-batch chunk; every smaller chunk slices the same buffers)
 # ---------------------------------------------------------------------------
 class TestArenaRemainderChunks:
-    def test_remainder_chunks_execute_bitwise_through_the_arena(self,
-                                                                int8_case):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS + (3,))
+    def test_remainder_chunks_execute_bitwise_through_the_arena(
+            self, int8_case, num_threads):
         # N % micro_batch != 0: the final chunk's slot views are prefix
         # slices of buffers whose shapes were recorded from a full chunk —
         # they must be exactly the contiguous layout the kernels' out=
-        # paths expect, so the int8 bits cannot move.
+        # paths expect, so the int8 bits cannot move, serial or threaded.
         model, golden = int8_case
         plan = compile_backbone(model.backbone, mode="int8")
         images = np.concatenate([golden["images"], golden["images"]])  # 16
         reference = InferenceEngine(plan, optimize=False,
                                     micro_batch=64).run(images)
-        engine = InferenceEngine(plan, micro_batch=5, num_threads=1)
+        engine = InferenceEngine(plan, micro_batch=5, num_threads=num_threads)
         np.testing.assert_array_equal(engine.run(images), reference)
         assert engine.memory_plan is not None
-        # And with threaded chunk execution over the ragged tail.
-        threaded = InferenceEngine(plan, micro_batch=5, num_threads=3)
-        np.testing.assert_array_equal(threaded.run(images), reference)
-        threaded.close()
+        engine.close()
 
-    def test_first_run_smaller_than_micro_batch(self, int8_case):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_first_run_smaller_than_micro_batch(self, int8_case, num_threads):
         # The memory plan records shapes from whatever the first real chunk
         # is; a first run below the micro-batch must plan per-sample shapes
         # that later full-size chunks slice correctly.
         model, golden = int8_case
         plan = compile_backbone(model.backbone, mode="int8")
-        engine = InferenceEngine(plan, micro_batch=64, num_threads=1)
+        engine = InferenceEngine(plan, micro_batch=64, num_threads=num_threads)
         engine.run(golden["images"][:3])          # records at batch 3
         assert engine.memory_plan is not None
         assert engine.memory_plan.capacity_batch == 64
         np.testing.assert_array_equal(engine.run(golden["images"]),
                                       golden["theta_a"])
+        engine.close()
 
     def test_oversized_direct_execute_rekeys_the_arena(self, rng):
         # Executing the plan directly (outside the engine, which clamps
@@ -473,25 +491,31 @@ class TestArenaRemainderChunks:
 # Thread-pool chunk execution
 # ---------------------------------------------------------------------------
 class TestThreadedEngine:
-    def test_threaded_chunks_match_serial_bitwise(self, rng):
+    @pytest.mark.parametrize("num_threads", (2, 3, 4))
+    def test_threaded_chunks_match_serial_bitwise(self, num_threads, rng):
         model = make_model("mobilenetv2_x4_tiny")
         plan = compile_backbone(model.backbone)
         images = rng.standard_normal((70, 3, 16, 16)).astype(np.float32)
         serial = InferenceEngine(plan, micro_batch=8, num_threads=1)
-        threaded = InferenceEngine(plan, micro_batch=8, num_threads=3)
+        threaded = InferenceEngine(plan, micro_batch=8,
+                                   num_threads=num_threads)
         np.testing.assert_array_equal(serial.run(images), threaded.run(images))
         assert serial.batches_run == threaded.batches_run == 9
         assert threaded.samples_run == 70
         threaded.close()
 
-    def test_per_thread_caches_are_registered(self, rng):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_per_thread_caches_are_registered(self, num_threads, rng):
         model = make_model("mobilenetv2_x4_tiny")
         engine = InferenceEngine(compile_backbone(model.backbone),
-                                 micro_batch=4, num_threads=2)
+                                 micro_batch=4, num_threads=num_threads)
         engine.run(rng.standard_normal((32, 3, 16, 16)).astype(np.float32))
         assert engine.cache_bytes > 0
-        assert len(engine._caches) >= 1
+        assert 1 <= len(engine._caches) <= engine.num_contexts
+        assert engine.num_contexts == (1 if num_threads == 1
+                                       else 1 + num_threads)
         engine.close()
+        assert engine._caches == [engine.cache]   # pool contexts retired
 
     def test_opaque_plans_stay_serial_but_correct(self, rng):
         net = nn.Sequential(ConvBNReLU(3, 4, rng=rng), nn.GlobalAvgPool2d())
@@ -535,6 +559,43 @@ class TestThreadedEngine:
 # ---------------------------------------------------------------------------
 # LRU-bounded buffer cache
 # ---------------------------------------------------------------------------
+def arena_keys(cache):
+    return [key for key in cache._buffers
+            if key[0].startswith(BufferCache.ARENA_PREFIX)]
+
+
+def track_planned_contexts(engine):
+    """Collect (by identity) every cache a planned chunk executes in."""
+    planned = {}
+    execute = engine.plan.execute
+
+    def tracking(chunk, cache, memory_plan=None, **kwargs):
+        if memory_plan is not None:
+            planned[id(cache)] = cache
+        return execute(chunk, cache, memory_plan=memory_plan, **kwargs)
+
+    engine.plan.execute = tracking
+    return planned
+
+
+def assert_arena_in_every_context(engine, contexts):
+    """Every context that ran a planned chunk holds exactly the slots."""
+    assert contexts
+    for cache in contexts:
+        assert len(arena_keys(cache)) == engine.memory_plan.num_slots
+
+
+def assert_engine_within_budget(engine, budget):
+    """The engine-wide scratch bound: ``budget`` over all contexts, arena
+    bytes exempt per context, one buffer of slack per context."""
+    assert len(engine._caches) <= engine.num_contexts
+    exempt = sum(cache._buffers[key].nbytes
+                 for cache in engine._caches for key in arena_keys(cache))
+    slack = sum(max(cache._buffers.values(), key=lambda b: b.nbytes).nbytes
+                for cache in engine._caches if len(cache))
+    assert engine.cache_bytes <= budget + exempt + slack
+
+
 class TestBufferCacheBudget:
     def test_unbounded_by_default(self):
         cache = BufferCache()
@@ -589,42 +650,53 @@ class TestBufferCacheBudget:
                     cache.clear()
                 cache.check_invariants()
 
-    def test_engine_caches_keep_consistent_accounting(self, rng):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_engine_caches_keep_consistent_accounting(self, num_threads, rng):
         model = make_model("mobilenetv2_x4_tiny")
         engine = InferenceEngine(compile_backbone(model.backbone),
-                                 micro_batch=8, cache_budget=1 << 18)
+                                 micro_batch=8, cache_budget=1 << 18,
+                                 num_threads=num_threads)
         for batch in (16, 3, 16, 5):
             engine.run(rng.standard_normal((batch, 3, 16, 16))
                        .astype(np.float32))
         for cache in engine._caches:
             cache.check_invariants()
+        assert_engine_within_budget(engine, 1 << 18)
+        engine.close()
 
-    def test_engine_budget_bounds_cache(self, rng):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_engine_budget_bounds_cache(self, num_threads, rng):
+        # cache_budget bounds the whole engine: each of its num_contexts
+        # caches holds an even share.
         model = make_model("mobilenetv2_x4_tiny")
         budget = 1 << 20
         engine = InferenceEngine(compile_backbone(model.backbone),
-                                 micro_batch=16, cache_budget=budget)
+                                 micro_batch=16, cache_budget=budget,
+                                 num_threads=num_threads)
         engine.run(rng.standard_normal((48, 3, 16, 16)).astype(np.float32))
-        exempt = sum(buffer.nbytes
-                     for key, buffer in engine.cache._buffers.items()
-                     if key[0].startswith(BufferCache.ARENA_PREFIX))
-        slack = max(buffer.nbytes
-                    for buffer in engine.cache._buffers.values())
-        assert engine.cache_bytes <= budget + exempt + slack
+        assert_engine_within_budget(engine, budget)
+        assert all(cache.max_bytes == budget // engine.num_contexts
+                   for cache in engine._caches)
+        engine.close()
 
-    def test_arena_buffers_are_never_evicted(self, rng):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_arena_buffers_are_never_evicted(self, num_threads, rng):
         # A budget below the arena working set must not make every step's
         # out_view evict the other slots: the budget governs scratch only,
-        # so planned execution stays allocation-free and bit-correct.
+        # so planned execution stays allocation-free and bit-correct in
+        # every context.
         model = make_model("mobilenetv2_x4_tiny")
         plan = compile_backbone(model.backbone)
         images = rng.standard_normal((32, 3, 16, 16)).astype(np.float32)
-        tight = InferenceEngine(plan, micro_batch=8, cache_budget=1)
-        reference = InferenceEngine(plan, micro_batch=8)
-        np.testing.assert_array_equal(tight.run(images), reference.run(images))
-        arena_keys = [key for key in tight.cache._buffers
-                      if key[0].startswith(BufferCache.ARENA_PREFIX)]
-        assert len(arena_keys) == tight.memory_plan.num_slots
+        reference = InferenceEngine(plan, micro_batch=8, num_threads=1)
+        expected = reference.run(images)
+        tight = InferenceEngine(plan, micro_batch=8, cache_budget=1,
+                                num_threads=num_threads)
+        planned = track_planned_contexts(tight)
+        np.testing.assert_array_equal(tight.run(images), expected)
+        assert_arena_in_every_context(tight, planned.values())
+        assert_engine_within_budget(tight, 1)
+        tight.close()
 
     def test_arena_bytes_do_not_consume_the_scratch_budget(self, rng):
         # Arena bytes exceeding max_bytes must not evict scratch buffers on
@@ -636,23 +708,29 @@ class TestBufferCacheBudget:
         assert cache.get("pad", (512,), np.float32) is pad   # not thrashed
         assert cache._scratch_nbytes <= cache.max_bytes
 
-    def test_varying_chunk_sizes_reuse_one_buffer_per_slot(self, rng):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_varying_chunk_sizes_reuse_one_buffer_per_slot(self, num_threads,
+                                                           rng):
         # Dynamic batchers produce many distinct batch sizes; the arena must
-        # not retain one buffer per (slot, size) pair.
+        # not retain one buffer per (slot, size) pair in any context.
         model = make_model("mobilenetv2_x4_tiny")
         engine = InferenceEngine(compile_backbone(model.backbone),
-                                 micro_batch=32)
+                                 micro_batch=16, num_threads=num_threads)
+        planned = track_planned_contexts(engine)
         for batch in (32, 1, 7, 13, 32, 5, 19):
             engine.run(rng.standard_normal((batch, 3, 16, 16))
                        .astype(np.float32))
-        arena_keys = [key for key in engine.cache._buffers
-                      if key[0].startswith(BufferCache.ARENA_PREFIX)]
-        assert len(arena_keys) == engine.memory_plan.num_slots
-        assert sum(engine.cache._buffers[key].nbytes
-                   for key in arena_keys) == \
-            engine.memory_plan.peak_bytes(engine.micro_batch)
+        assert id(engine.cache) in planned     # the single-chunk runs
+        assert_arena_in_every_context(engine, planned.values())
+        for cache in planned.values():
+            assert sum(cache._buffers[key].nbytes
+                       for key in arena_keys(cache)) == \
+                engine.memory_plan.peak_bytes(engine.micro_batch)
+        engine.close()
 
-    def test_restored_plan_capacity_is_raised_to_the_micro_batch(self, rng):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_restored_plan_capacity_is_raised_to_the_micro_batch(
+            self, num_threads, rng):
         # A shipped memory plan recorded at a smaller micro-batch must not
         # key one eviction-exempt arena buffer per distinct larger chunk
         # size: the accepting engine raises the capacity to its own
@@ -663,14 +741,15 @@ class TestBufferCacheBudget:
         small.run(rng.standard_normal((8, 3, 16, 16)).astype(np.float32))
         assert small.memory_plan.capacity_batch == 8
         big = InferenceEngine(small.plan, micro_batch=32,
-                              memory_plan=small.memory_plan)
+                              memory_plan=small.memory_plan,
+                              num_threads=num_threads)
         assert big.memory_plan.capacity_batch == 32
-        for batch in (32, 16, 24, 32):
+        planned = track_planned_contexts(big)
+        for batch in (32, 16, 24, 32, 96):
             big.run(rng.standard_normal((batch, 3, 16, 16))
                     .astype(np.float32))
-        arena_keys = [key for key in big.cache._buffers
-                      if key[0].startswith(BufferCache.ARENA_PREFIX)]
-        assert len(arena_keys) == big.memory_plan.num_slots
+        assert_arena_in_every_context(big, planned.values())
+        big.close()
 
     def test_counters_track_completed_chunks_only(self, rng):
         calls = []
@@ -691,19 +770,22 @@ class TestBufferCacheBudget:
         assert engine.batches_run == 1      # only the completed first chunk
         assert engine.samples_run == 0      # the run never finished
 
-    def test_replan_retires_the_stale_arena(self, rng):
+    @pytest.mark.parametrize("num_threads", THREAD_COUNTS)
+    def test_replan_retires_the_stale_arena(self, num_threads, rng):
         model = make_model("mobilenetv2_x4_tiny")
         engine = InferenceEngine(compile_backbone(model.backbone),
-                                 micro_batch=4)
-        engine.run(rng.standard_normal((8, 3, 16, 16)).astype(np.float32))
-        stale = {key for key in engine.cache._buffers
-                 if key[0].startswith(BufferCache.ARENA_PREFIX)}
-        assert stale
-        engine.run(rng.standard_normal((8, 3, 20, 20)).astype(np.float32))
-        current = {key for key in engine.cache._buffers
-                   if key[0].startswith(BufferCache.ARENA_PREFIX)}
+                                 micro_batch=4, num_threads=num_threads)
+        planned = track_planned_contexts(engine)
+        engine.run(rng.standard_normal((12, 3, 16, 16)).astype(np.float32))
+        stale = {key for cache in engine._caches for key in arena_keys(cache)}
+        assert_arena_in_every_context(engine, planned.values())
+        planned.clear()
+        engine.run(rng.standard_normal((12, 3, 20, 20)).astype(np.float32))
+        current = {key for cache in engine._caches
+                   for key in arena_keys(cache)}
         assert current and not (stale & current)
-        assert len(current) == engine.memory_plan.num_slots
+        assert_arena_in_every_context(engine, planned.values())
+        engine.close()
 
 
 # ---------------------------------------------------------------------------

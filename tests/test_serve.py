@@ -11,6 +11,7 @@ doubles as the CI smoke scenario (2-worker end-to-end predict + learn).
 import os
 import pickle
 import signal
+import threading
 import time
 
 import numpy as np
@@ -214,6 +215,34 @@ class TestShardedEngine:
         with pytest.raises(RemoteWorkerError, match="unknown work item"):
             server.engine.submit("frobnicate").result(timeout=60)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and at least two CPUs")
+    def test_workers_are_placed_on_distinct_cpus(self, served):
+        _, server, _ = served
+        cpus = sorted(os.sched_getaffinity(0))
+        masks = [os.sched_getaffinity(pid)
+                 for pid in server.engine.worker_pids]
+        assert masks == [{cpus[0]}, {cpus[1]}]
+        # Placed workers also run below the coordinator's priority.
+        niceness = min(19, os.getpriority(os.PRIO_PROCESS, 0) + 10)
+        assert [os.getpriority(os.PRIO_PROCESS, pid)
+                for pid in server.engine.worker_pids] == [niceness] * 2
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="needs CPU affinity")
+    def test_unpinned_worker_keeps_the_coordinator_placement(self):
+        model, _ = make_learned_model(seed=8)
+        engine = ShardedEngine(snapshot_model(model, micro_batch=8),
+                               num_workers=1, pin_workers=False)
+        try:
+            pid = engine.worker_pids[0]
+            assert os.sched_getaffinity(pid) == os.sched_getaffinity(0)
+            assert os.getpriority(os.PRIO_PROCESS, pid) \
+                == os.getpriority(os.PRIO_PROCESS, 0)
+        finally:
+            engine.close()
+
 
 class TestServerParity:
     def test_predict_bit_for_bit(self, served, queries):
@@ -257,6 +286,59 @@ class TestServerParity:
         assert versions == [model.memory.version] * server.num_workers
         assert all(record["prototype_classes"] == BASE_CLASSES + 1
                    for record in server.worker_stats())
+
+    def test_learn_racing_a_submit_sync_reaches_every_worker(self):
+        # A submit's sync_prototypes reads the prototype matrix, then
+        # learn_class's update_class lands before the snapshot reads the
+        # version.  The old matrix must not ship under the new version, or
+        # learn_class's own sync would see nothing left to send.
+        model, shots = make_learned_model(seed=5)
+        server = Server(model, num_workers=2, max_latency_s=0.01)
+        memory = model.memory
+        rng = np.random.default_rng(11)
+        new_class = BASE_CLASSES
+        new_shots = rng.standard_normal(
+            (SHOTS_PER_CLASS, *IMAGE_SHAPE)).astype(np.float32)
+        # A class stored without a broadcast yet: the memory is one version
+        # ahead of the workers, so the next submit syncs.
+        memory.update_class(BASE_CLASSES + 1, server.embed(shots[:2]))
+        matrix_read, class_updated = threading.Event(), threading.Event()
+        read_matrix, apply_update = memory.prototype_matrix, \
+            memory.update_class
+
+        def racing_read(*args, **kwargs):
+            result = read_matrix(*args, **kwargs)
+            if threading.current_thread() is submitter:
+                matrix_read.set()
+                assert class_updated.wait(60)
+            return result
+
+        def update_then_release(*args, **kwargs):
+            result = apply_update(*args, **kwargs)
+            class_updated.set()
+            return result
+
+        submitter = threading.Thread(
+            target=lambda: server.submit(shots[0]).result(timeout=60))
+        memory.prototype_matrix = racing_read
+        memory.update_class = update_then_release
+        try:
+            submitter.start()
+            assert matrix_read.wait(60)
+            server.learn_class(new_shots, new_class)
+            submitter.join(timeout=60)
+            assert not submitter.is_alive()
+            for worker in range(server.num_workers):
+                _, ids = server.engine.submit(
+                    "similarities", (new_shots[:1], None),
+                    worker=worker).result(timeout=60)
+                assert new_class in ids, f"worker {worker} lost the learn"
+            assert [record["prototype_version"]
+                    for record in server.worker_stats()] == \
+                [memory.version] * server.num_workers
+        finally:
+            del memory.prototype_matrix, memory.update_class
+            server.close()
 
 
 class TestDynamicBatcher:
