@@ -1,9 +1,15 @@
 """Setuptools entry point.
 
-Kept alongside ``pyproject.toml`` so the package can be installed in
-environments without the ``wheel`` package (legacy editable installs).
+Kept minimal so the package can be installed in environments without the
+``wheel`` package (legacy editable installs).  ``native.c`` ships as
+package data: :mod:`repro.runtime.native` compiles it on first use.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.runtime": ["native.c"]},
+)

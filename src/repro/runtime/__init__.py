@@ -34,7 +34,12 @@ from .compiler import (
     fold_conv_bn,
     has_hooks,
 )
-from .engine import DEFAULT_MICRO_BATCH, InferenceEngine, default_num_threads
+from .engine import (
+    DEFAULT_MICRO_BATCH,
+    ConcurrentRunError,
+    InferenceEngine,
+    default_num_threads,
+)
 from .ir import Graph, GraphInvariantError, Node, RewriteRule, Value
 from .kernels import BufferCache
 from .optimizer import (
@@ -63,6 +68,7 @@ __all__ = [
     "bn_scale_shift",
     "has_hooks",
     "InferenceEngine",
+    "ConcurrentRunError",
     "DEFAULT_MICRO_BATCH",
     "default_num_threads",
     "BufferCache",

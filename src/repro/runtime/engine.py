@@ -28,6 +28,13 @@ DEFAULT_MICRO_BATCH = 64
 MAX_DEFAULT_THREADS = 4
 
 
+class ConcurrentRunError(RuntimeError):
+    """A second thread called :meth:`InferenceEngine.run` while a run was in
+    flight.  The engine's own execution context (scratch, arena, recorded
+    memory plan) belongs to one caller at a time; serialise callers, or
+    give each thread its own engine."""
+
+
 def default_num_threads() -> int:
     """Worker threads for chunk execution: min(4, usable cores)."""
     try:
@@ -60,9 +67,11 @@ class InferenceEngine:
 
     Each :class:`BufferCache` is one *execution context*: the engine's own
     ``cache`` (the calling thread's recording and serial chunks) plus one
-    per pool thread, so at most :attr:`num_contexts` of them.  Callers must
-    not run one engine from several threads at once (``Server`` serialises
-    its coordinator engines under a lock).  ``cache_budget`` bounds the
+    per pool thread, so at most :attr:`num_contexts` of them.  One engine
+    serves one caller at a time: :meth:`run` raises
+    :class:`ConcurrentRunError` when a second thread enters while a run is
+    in flight (``Server`` serialises its coordinator engines under a lock;
+    pool threads execute the plan directly).  ``cache_budget`` bounds the
     scratch bytes of the *whole engine*: it is split evenly across
     ``num_contexts``, and each context's cache enforces its share (plus at
     most the one buffer it just handed out).  Arena slot buffers are exempt
@@ -118,6 +127,7 @@ class InferenceEngine:
         self._tls = threading.local()
         self._caches: List[BufferCache] = [self.cache]
         self._caches_lock = threading.Lock()
+        self._run_lock = threading.Lock()
         self.metrics_prefix = metrics_prefix
         self._bind_registry(registry)
 
@@ -185,7 +195,8 @@ class InferenceEngine:
         # Telemetry handles (the registry's closures capture ``self``; the
         # profiler holds cross-engine instruments) are process-local too.
         for transient in ("cache", "_pool", "_tls", "_caches",
-                          "_caches_lock", "registry", "profiler"):
+                          "_caches_lock", "_run_lock", "registry",
+                          "profiler"):
             state.pop(transient, None)
         return state
 
@@ -196,6 +207,7 @@ class InferenceEngine:
         self._tls = threading.local()
         self._caches = [self.cache]
         self._caches_lock = threading.Lock()
+        self._run_lock = threading.Lock()
         self.profiler = None
         self._bind_registry(None)
 
@@ -208,11 +220,23 @@ class InferenceEngine:
         <repro.serve.worker._WorkerState.handle>`), the execution nests an
         ``engine.run`` child span; otherwise the wrapper is one contextvar
         read.
+
+        Raises :class:`ConcurrentRunError` if another thread is inside
+        ``run`` on this engine: with native kernels releasing the GIL, two
+        callers would overwrite each other's scratch mid-step.
         """
-        with ambient_span(f"{self.metrics_prefix}.run",
-                          attrs_fn=lambda: {"plan": self.plan.name,
-                                            "samples": len(images)}):
-            return self._run(images)
+        if not self._run_lock.acquire(blocking=False):
+            raise ConcurrentRunError(
+                f"InferenceEngine for plan {self.plan.name!r} is already "
+                f"running in another thread; one engine serves one caller "
+                f"at a time")
+        try:
+            with ambient_span(f"{self.metrics_prefix}.run",
+                              attrs_fn=lambda: {"plan": self.plan.name,
+                                                "samples": len(images)}):
+                return self._run(images)
+        finally:
+            self._run_lock.release()
 
     def _run(self, images: np.ndarray) -> np.ndarray:
         images = np.asarray(images, dtype=np.float32)

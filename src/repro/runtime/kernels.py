@@ -20,6 +20,16 @@ Depthwise convolutions skip im2col and GEMM altogether:
 contiguous inner loop even on the 4x4 maps of the deep MobileNetV2 layers.
 Each output element sees the same float32 operations in the same order as
 an NCHW per-tap loop, so the layout is invisible in the bits.
+
+The int8 conv kernel :func:`fused_qconv` hands its requantization epilogue,
+and whole depthwise convs, to the C kernels of :mod:`repro.runtime.native`
+when they load: one pass instead of five NumPy passes over a float64
+temporary, and exact int32 depthwise taps.  They replay the NumPy
+arithmetic (bias added in the accumulator dtype, one float64 multiply,
+round half to even, clamp), so the codes are the same bits; the library is
+built once with the system C compiler and cached on disk, and without a
+compiler the NumPy code here runs and stays the reference the conformance
+tests compare against.  Float32 kernels never call native code.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..nn.conv import conv_output_size
+from . import native
 
 #: Supported fused activations (applied in place on the layer output).
 ACTIVATIONS = (None, "relu", "relu6")
@@ -549,6 +560,24 @@ def _acc_dtype(bound: int):
     return np.float32 if bound < _F32_EXACT_LIMIT else np.float64
 
 
+def _checked_acc_dtype(q: np.ndarray, weight_q: np.ndarray, groups: int,
+                       acc_bound: Optional[int]):
+    """Validate an int8 conv's channels and int32 bound; return its
+    exact accumulation dtype."""
+    c = q.shape[1]
+    if c != weight_q.shape[1] * groups:
+        raise ValueError(
+            f"input channels ({c}) incompatible with weight {weight_q.shape} "
+            f"and groups={groups}")
+    bound = acc_bound if acc_bound is not None \
+        else conv_accumulator_bound(weight_q)
+    if bound > INT32_ACC_LIMIT:
+        raise OverflowError(
+            f"int8 conv accumulator bound {bound} exceeds the int32 range; "
+            f"the layer cannot run on 32-bit accumulators")
+    return _acc_dtype(bound)
+
+
 def _cast_cached(x: np.ndarray, dtype, tag: str,
                  cache: Optional[BufferCache]) -> np.ndarray:
     """Cast ``x`` into a cached buffer of ``dtype`` (exact for int8 sources)."""
@@ -576,17 +605,7 @@ def int_accumulate_conv(q: np.ndarray, weight_q: np.ndarray, stride: int = 1,
     """
     n, c, h, w = q.shape
     out_c, c_per_group, kh, kw = weight_q.shape
-    if c != c_per_group * groups:
-        raise ValueError(
-            f"input channels ({c}) incompatible with weight {weight_q.shape} "
-            f"and groups={groups}")
-    bound = acc_bound if acc_bound is not None \
-        else conv_accumulator_bound(weight_q)
-    if bound > INT32_ACC_LIMIT:
-        raise OverflowError(
-            f"int8 conv accumulator bound {bound} exceeds the int32 range; "
-            f"the layer cannot run on 32-bit accumulators")
-    dtype = _acc_dtype(bound)
+    dtype = _checked_acc_dtype(q, weight_q, groups, acc_bound)
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
     spatial = out_h * out_w
@@ -623,6 +642,34 @@ def int_accumulate_conv(q: np.ndarray, weight_q: np.ndarray, stride: int = 1,
     return acc
 
 
+def requantize_accumulator(acc: np.ndarray, bias_q: np.ndarray,
+                           multiplier: np.ndarray, qmin: int = INT8_QMIN,
+                           qmax: int = INT8_QMAX,
+                           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """NumPy requantization epilogue of an int8 conv (the reference).
+
+    ``acc`` is the exact ``(N, C, spatial)`` float32/float64 accumulator of
+    :func:`int_accumulate_conv`, updated in place: the int32 ``bias_q`` is
+    added in ``acc``'s dtype, the sum is widened to float64, scaled by the
+    per-channel ``multiplier``, rounded half to even and clipped to
+    ``[qmin, qmax]``.  Returns int8 codes of ``acc``'s shape (written into
+    ``out`` when given).  :func:`repro.runtime.native.requantize` is its
+    one-pass twin.
+    """
+    out_c = acc.shape[1]
+    acc += bias_q.astype(acc.dtype).reshape(1, out_c, 1)
+    # float32 * float64 promotes each product to float64 exactly — no
+    # explicit astype copy needed on the hot path.
+    scaled = acc * multiplier.reshape(1, out_c, 1)
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, qmin, qmax, out=scaled)
+    if out is None:
+        return scaled.astype(np.int8)
+    codes = out.reshape(acc.shape)
+    np.copyto(codes, scaled, casting="unsafe")
+    return codes
+
+
 def fused_qconv(q: np.ndarray, weight_q: np.ndarray, bias_q: np.ndarray,
                 multiplier: np.ndarray, stride: int = 1, padding: int = 0,
                 groups: int = 1, qmin: int = INT8_QMIN, qmax: int = INT8_QMAX,
@@ -635,26 +682,40 @@ def fused_qconv(q: np.ndarray, weight_q: np.ndarray, bias_q: np.ndarray,
     rescale ``clip(round(acc * multiplier), qmin, qmax)`` back to int8, with
     the activation expressed through the clamp bounds (``qmin=0`` for ReLU,
     ``qmax=round(6/scale)`` capped at 127 for ReLU6).
+
+    When the native kernels load (:mod:`repro.runtime.native`), the
+    epilogue is one C pass instead of :func:`requantize_accumulator`'s five
+    NumPy passes, and a depthwise conv runs entirely in C: exact int32 tap
+    sums, then the same epilogue.  Both replay the NumPy arithmetic — the
+    bias added in the accumulator dtype, one float64 multiply, round half to
+    even — so the codes are identical either way; without a C compiler the
+    NumPy code runs.
     """
-    n = q.shape[0]
-    out_c = weight_q.shape[0]
+    n, c, h, w = q.shape
+    out_c, _, kh, kw = weight_q.shape
+    out_shape = (n, out_c, conv_output_size(h, kh, stride, padding),
+                 conv_output_size(w, kw, stride, padding))
+    lib = native.library()
+    if lib is None or q.dtype != np.int8 or weight_q.dtype != np.int8 \
+            or (out is not None and not (out.flags.c_contiguous
+                                         and out.dtype == np.int8)):
+        acc = int_accumulate_conv(q, weight_q, stride=stride,
+                                  padding=padding, groups=groups,
+                                  cache=cache, acc_bound=acc_bound)
+        return requantize_accumulator(acc, bias_q, multiplier, qmin, qmax,
+                                      out=out).reshape(out_shape)
+    codes = np.empty(out_shape, dtype=np.int8) if out is None \
+        else out.reshape(out_shape)
+    if groups == c and groups == out_c:
+        dtype = _checked_acc_dtype(q, weight_q, groups, acc_bound)
+        return native.depthwise_qconv(
+            lib, q, weight_q, bias_q, multiplier, stride, padding, qmin, qmax,
+            acc_f32=dtype == np.float32, out=codes, cache=cache)
     acc = int_accumulate_conv(q, weight_q, stride=stride, padding=padding,
                               groups=groups, cache=cache, acc_bound=acc_bound)
-    acc += bias_q.astype(acc.dtype).reshape(1, out_c, 1)
-    # float32 * float64 promotes each product to float64 exactly — no
-    # explicit astype copy needed on the hot path.
-    scaled = acc * multiplier.reshape(1, out_c, 1)
-    np.rint(scaled, out=scaled)
-    np.clip(scaled, qmin, qmax, out=scaled)
-    kh, kw = weight_q.shape[2], weight_q.shape[3]
-    out_h = conv_output_size(q.shape[2], kh, stride, padding)
-    out_w = conv_output_size(q.shape[3], kw, stride, padding)
-    if out is None:
-        codes = scaled.astype(np.int8)
-    else:
-        codes = out.reshape(n, out_c, out_h * out_w)
-        np.copyto(codes, scaled, casting="unsafe")
-    return codes.reshape(n, out_c, out_h, out_w)
+    native.requantize(lib, acc, bias_q, multiplier, qmin, qmax,
+                      out=codes.reshape(acc.shape))
+    return codes
 
 
 def fused_qconv_dequant(q: np.ndarray, weight_q: np.ndarray,
@@ -693,14 +754,18 @@ def fused_qconv_dequant(q: np.ndarray, weight_q: np.ndarray,
 def fused_qlinear(q: np.ndarray, weight_q: np.ndarray, dequant: np.ndarray,
                   bias: Optional[np.ndarray] = None,
                   act: Optional[str] = None,
+                  acc_bound: Optional[int] = None,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Int8 GEMM ``q @ weight_q.T`` with a float rescale at the end.
 
     ``weight_q`` is ``(out, in)`` int8; ``dequant`` holds the per-output-row
     ``s_in * s_w[row]`` factors.  The accumulation is exact (see
-    :func:`int_accumulate_conv`), the output is float32.
+    :func:`int_accumulate_conv`), the output is float32.  ``acc_bound`` is
+    the compiler's precomputed :func:`conv_accumulator_bound`; without it
+    the weight is rescanned on every call.
     """
-    bound = conv_accumulator_bound(weight_q)
+    bound = acc_bound if acc_bound is not None \
+        else conv_accumulator_bound(weight_q)
     if bound > INT32_ACC_LIMIT:
         raise OverflowError(
             f"int8 linear accumulator bound {bound} exceeds the int32 range")

@@ -67,6 +67,16 @@ class InferencePlan:
     def __post_init__(self):
         if not self.output_register and self.steps:
             self.output_register = self.steps[-1].output
+        # Step arrays are read-only.  The plan cache and the predictors
+        # detect new weights by array identity, and native kernels read the
+        # arrays through raw pointers, so weights must be rebound, never
+        # written in place.  Every plan (compiled, optimized or restored
+        # from a snapshot) is built through this constructor, so an
+        # in-place write raises ``ValueError`` instead of serving stale bits.
+        for step in self.steps:
+            for array in step.arrays.values():
+                if array.flags.writeable:
+                    array.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -261,7 +271,9 @@ def _execute_step(step: Step, registers: Dict[str, np.ndarray],
         return kernels.fused_qlinear(x, step.arrays["weight"],
                                      step.arrays["dequant"],
                                      step.arrays.get("bias"),
-                                     act=step.attrs.get("act"), out=out)
+                                     act=step.attrs.get("act"),
+                                     acc_bound=step.attrs.get("acc_bound"),
+                                     out=out)
     if op == "quantize":
         return kernels.quantize_int8(x, step.attrs["scale"], out=out)
     if op == "dequantize":

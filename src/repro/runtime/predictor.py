@@ -37,6 +37,7 @@ from .kernels import (
     normalize_prototypes,
     quantize_unit_rows,
 )
+from . import native
 from .optimizer import optimize_plan
 from .plan_cache import PlanCache, default_plan_cache, signatures_differ
 
@@ -338,7 +339,10 @@ class BatchedPredictor:
 
         ``arena_peak_bytes`` is the planned-arena footprint at the configured
         micro-batch (0 until the first batch has been served);
-        ``cache_bytes`` sums every scratch/arena buffer currently cached.
+        ``cache_bytes`` sums every scratch/arena buffer currently cached;
+        ``native_kernels`` is the process's native int8 kernel state
+        (:func:`repro.runtime.native.status`: ``"loaded"``, the NumPy
+        fallback's reason, or ``"not loaded"`` before any int8 kernel ran).
         """
         engines = [engine for engine in (self._backbone_engine,
                                          self._fcr_engine)
@@ -351,6 +355,7 @@ class BatchedPredictor:
             "arena_unplanned_bytes": sum(engine.arena_unplanned_bytes
                                          for engine in engines),
             "samples_served": self.samples_served,
+            "native_kernels": native.status(),
         }
         if self.profiler is not None:
             stats["profile"] = self.profiler.as_dict()

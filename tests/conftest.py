@@ -59,3 +59,24 @@ def fresh_model():
     """An untrained O-FSCIL model (cheap; function-scoped)."""
     return OFSCIL.from_registry(TEST_BACKBONE, OFSCILConfig(backbone=TEST_BACKBONE),
                                 seed=3)
+
+
+@pytest.fixture(params=("native", "numpy"))
+def int8_kernels(request, monkeypatch):
+    """Run the test once on the native int8 kernels and once with them
+    forced off (the NumPy reference kernels); yields the backend name.
+
+    The native case is skipped, with the reason, on a host where the
+    kernels cannot be built.
+    """
+    from repro.runtime import native
+
+    if request.param == "native":
+        if native.library() is None:
+            pytest.skip(f"native kernels unavailable: {native.status()}")
+    else:
+        # The state of a process whose build failed: library() returns None
+        # and status() reports the fallback.
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_outcome", "numpy fallback (forced)")
+    return request.param

@@ -225,6 +225,25 @@ class TestGoldenConformance:
         np.testing.assert_array_equal(predictor.predict_features(theta_p),
                                       golden["labels"])
 
+    def test_golden_bits_on_native_and_numpy_kernels(self, conformance,
+                                                     int8_kernels):
+        # The native epilogue and depthwise kernel replay the NumPy
+        # arithmetic, so both backends reproduce the committed bits, at the
+        # default micro-batch and in 3-sample chunks.
+        _, model, _, golden = conformance
+        predictor = model.runtime_predictor()
+        theta_a = predictor.extract_backbone_features(golden["images"])
+        np.testing.assert_array_equal(theta_a, golden["theta_a"])
+        chunked = InferenceEngine(predictor.backbone_engine.plan,
+                                  micro_batch=3).run(golden["images"])
+        np.testing.assert_array_equal(chunked, golden["theta_a"])
+        theta_p = predictor.project(theta_a)
+        np.testing.assert_array_equal(theta_p, golden["theta_p"])
+        np.testing.assert_array_equal(predictor.predict_features(theta_p),
+                                      golden["labels"])
+        loaded = predictor.runtime_stats()["native_kernels"] == "loaded"
+        assert loaded == (int8_kernels == "native")
+
     def test_bitwise_stable_across_chunkings(self, conformance):
         # Integer accumulation is exact, so micro-batch boundaries cannot
         # perturb a single bit (the float32 runtime only promises 1e-5).
